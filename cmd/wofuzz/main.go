@@ -45,8 +45,8 @@
 // identical either way, so only speed changes).
 //
 // -explore-workers widens each individual exploration inside the kernel: the
-// default 1 keeps explorations serial (the campaign already fans programs
-// across cores), an explicit N runs N workers per exploration, and 0
+// default 1 runs one worker per exploration (the campaign already fans
+// programs across cores), an explicit N runs N workers per exploration, and 0
 // auto-sizes each exploration to whatever cores the campaign fan-out has left
 // spare. Outcome sets are identical at every width.
 //
@@ -82,7 +82,7 @@ func main() {
 	machinesCSV := flag.String("machines", "weak", `machines to test: comma-separated names, "weak", "all", or "broken"`)
 	minimize := flag.Bool("minimize", true, "delta-debug violating programs to minimal reproducers")
 	maxStates := flag.Int("max-states", 0, "per-exploration state budget (0 = fuzzing default)")
-	exploreWorkers := flag.Int("explore-workers", 1, "worker count inside each exploration (1 = serial, 0 = one per spare core)")
+	exploreWorkers := flag.Int("explore-workers", 1, "worker count inside each exploration (1 = one worker, 0 = one per spare core)")
 	por := flag.String("por", "on", "partial-order reduction in the exploration kernel: on or off")
 	jsonPath := flag.String("json", "", `write a JSON campaign report to PATH ("-" = stdout)`)
 	outDir := flag.String("out", "", "write minimized reproducers (.litmus and .go) into DIR")
@@ -96,7 +96,7 @@ func main() {
 	flag.Parse()
 
 	if *exploreWorkers < 0 {
-		fatal(fmt.Errorf("negative -explore-workers %d (want 1 = serial, 0 = one per spare core, or an explicit width)", *exploreWorkers))
+		fatal(fmt.Errorf("negative -explore-workers %d (want 1 = one worker, 0 = one per spare core, or an explicit width)", *exploreWorkers))
 	}
 	// The CLI's 0 means "auto": each exploration claims whatever spare slots
 	// the par budget has at that moment (the campaign-level fan-out and the

@@ -34,7 +34,7 @@
 // The verification runs on the shared exploration kernel; -por=off disables
 // its partial-order reduction (a debugging escape hatch — the answer never
 // changes) and -max-states bounds its search. -explore-workers widens the
-// search inside the kernel: 1 (the default) is the serial search, an explicit
+// search inside the kernel: 1 (the default) is one worker, an explicit
 // N runs N workers over a shared work-stealing frontier, and 0 auto-sizes to
 // the spare cores; the verdict is identical at every width, though a
 // satisfiable check may report a different (equally valid) witness order. A
@@ -113,7 +113,7 @@ func main() {
 	check := flag.Bool("check", false, "verify the trace is sequentially consistent")
 	por := flag.String("por", "on", "partial-order reduction in the -check search: on or off")
 	maxStates := flag.Int("max-states", 0, "state budget for the -check search (0 = kernel default)")
-	exploreWorkers := flag.Int("explore-workers", 1, "worker count for the -check search (1 = serial, 0 = one per spare core)")
+	exploreWorkers := flag.Int("explore-workers", 1, "worker count for the -check search (1 = one worker, 0 = one per spare core)")
 	conds := flag.Bool("conditions", false, "verify the run against the Section-5.1 conditions")
 	dump := flag.String("dump-trace", "", "write the recorded trace (and timings) as JSON to this file")
 	injectFaults := flag.Bool("faults", false, "inject deterministic fabric faults and enable the recovery machinery")
@@ -173,7 +173,7 @@ func main() {
 		usage(fmt.Errorf("invalid -por %q (want on or off)", *por))
 	}
 	if *exploreWorkers < 0 {
-		usage(fmt.Errorf("negative -explore-workers %d (want 1 = serial, 0 = one per spare core, or an explicit width)", *exploreWorkers))
+		usage(fmt.Errorf("negative -explore-workers %d (want 1 = one worker, 0 = one per spare core, or an explicit width)", *exploreWorkers))
 	}
 	if *netlat < 0 {
 		usage(fmt.Errorf("negative -netlat %d", *netlat))
@@ -420,7 +420,7 @@ func main() {
 			opts.FullExploration = true
 		}
 		// The CLI's 0 means "auto" (one worker per spare core), which is the
-		// kernel's negative width; 1 stays serial.
+		// kernel's negative width; 1 stays one worker.
 		if *exploreWorkers == 0 {
 			opts.Workers = -1
 		} else {

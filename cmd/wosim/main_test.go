@@ -53,9 +53,9 @@ func TestCheckStateBudgetExit(t *testing.T) {
 	}
 }
 
-// TestCheckExploreWorkers pins the parallel search plumbing: explicit widths
-// and the auto width (0) must reach the same verdict as the serial default,
-// and a negative width is a usage error.
+// TestCheckExploreWorkers pins the search-width plumbing: explicit widths
+// and the auto width (0) must reach the same verdict as the one-worker
+// default, and a negative width is a usage error.
 func TestCheckExploreWorkers(t *testing.T) {
 	bin := buildWosim(t)
 	const verdict = "trace check: sequentially consistent"

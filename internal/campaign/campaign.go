@@ -66,7 +66,7 @@ type Spec struct {
 	POROff bool `json:"por_off,omitempty"`
 	// Minimize delta-debugs violations to minimal reproducers.
 	Minimize bool `json:"minimize,omitempty"`
-	// ExploreWorkers is the kernel width per exploration (0 or 1 = serial,
+	// ExploreWorkers is the kernel width per exploration (0 or 1 = one worker,
 	// negative = auto-size from the par budget). Outcome-identical at every
 	// width, hence also not in the cache key.
 	ExploreWorkers int `json:"explore_workers,omitempty"`

@@ -42,7 +42,7 @@ type SCOptions struct {
 	// satisfying errors.Is(err, explore.ErrStateBudget).
 	MaxStates int
 	// Workers selects the search width, passed through to the kernel (0 or 1
-	// serial, n > 1 that many workers, negative auto-sized from the par
+	// one worker, n > 1 that many workers, negative auto-sized from the par
 	// budget). The SC verdict is width-independent, but when an execution has
 	// several witnessing orders a parallel search may return any of them —
 	// VerifyWitness accepts them all.

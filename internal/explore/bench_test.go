@@ -1,20 +1,25 @@
 package explore_test
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"weakorder/internal/explore"
+	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
+	"weakorder/internal/mem"
 	"weakorder/internal/model"
 	"weakorder/internal/program"
 )
 
-// exploreWorkers sets the kernel width the Benchmark/Explore* benchmarks run
-// at. The default 1 is the serial kernel — the baseline BENCH_explore.json
-// records — so `go test -bench BenchmarkExplore -explore-workers 8` measures
-// the parallel kernel against it.
-var exploreWorkers = flag.Int("explore-workers", 1, "explore kernel width for the explore benchmarks (1 = serial)")
+// exploreWorkers sets the kernel width the BenchmarkExplorePOR/Full
+// benchmarks run at. The default 1 is one worker — the baseline
+// BENCH_explore.json records — so `go test -bench BenchmarkExplore
+// -explore-workers 8` measures eight workers against it.
+var exploreWorkers = flag.Int("explore-workers", 1, "explore kernel width for the explore benchmarks (1 = one worker)")
 
 // runSuite runs the full litmus suite — every corpus test on every machine,
 // broken fixtures included — exactly the way the production runner does
@@ -102,7 +107,7 @@ func TestPORStatesBudget(t *testing.T) {
 
 // BenchmarkExplorePOR measures the litmus suite under the reduced
 // exploration; the states metric is what BENCH_explore.json records. Runs at
-// the -explore-workers width (default serial).
+// the -explore-workers width (default one worker).
 func BenchmarkExplorePOR(b *testing.B) {
 	benchmarkSuite(b, false, *exploreWorkers)
 }
@@ -127,13 +132,12 @@ func parallelWidth() int {
 	return 2
 }
 
-// BenchmarkExplorePORParallel is BenchmarkExplorePOR on the parallel kernel.
+// BenchmarkExplorePORParallel is BenchmarkExplorePOR at parallelWidth().
 func BenchmarkExplorePORParallel(b *testing.B) {
 	benchmarkSuite(b, false, parallelWidth())
 }
 
-// BenchmarkExploreFullParallel is BenchmarkExploreFull on the parallel
-// kernel.
+// BenchmarkExploreFullParallel is BenchmarkExploreFull at parallelWidth().
 func BenchmarkExploreFullParallel(b *testing.B) {
 	benchmarkSuite(b, true, parallelWidth())
 }
@@ -145,4 +149,38 @@ func benchmarkSuite(b *testing.B, fullExpl bool, workers int) {
 	}
 	b.ReportMetric(float64(states), "states")
 	b.ReportMetric(float64(transitions), "transitions")
+}
+
+// BenchmarkExploreHuge is one huge exploration, the shape of a big
+// /v1/check: wrc-transitive-sync's DRF0 enumeration (model.Enumerator under
+// fuzz.DefaultExplorer) runs until it exhausts the 400k state budget, at one
+// worker and at one worker per core. Its states/s ratio between the two
+// widths is the evidence that Explorer.Workers earns its place: the litmus
+// suite's explorations are too small to gain from more than one worker.
+func BenchmarkExploreHuge(b *testing.B) {
+	lt, ok := litmus.ByName("wrc-transitive-sync")
+	if !ok {
+		b.Fatal("wrc-transitive-sync missing from the litmus corpus")
+	}
+	widths := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		widths = append(widths, n)
+	}
+	for _, w := range widths {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			x := fuzz.DefaultExplorer()
+			x.Workers = w
+			states := 0
+			for i := 0; i < b.N; i++ {
+				enum := &model.Enumerator{Prog: lt.Prog, Explorer: x}
+				err := enum.IdealizedExecutions(func(*mem.Execution) bool { return true })
+				var sbe *explore.StateBudgetError
+				if !errors.As(err, &sbe) {
+					b.Fatalf("got %v, want the enumeration to exhaust its state budget", err)
+				}
+				states += sbe.States
+			}
+			b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+		})
+	}
 }

@@ -4,8 +4,9 @@
 // and — through the model layer — the fuzzer's idealized-execution
 // enumeration. A client implements the TransitionSystem interface (enabled
 // steps, apply, canonical append-key, per-agent footprints) and the kernel
-// provides the explicit-stack depth-first search, state deduplication,
-// budgets, and conflict-driven partial-order reduction.
+// provides the work-stealing depth-first search (one worker or several —
+// see Explorer.Workers), state deduplication, budgets, and conflict-driven
+// partial-order reduction.
 //
 // # Partial-order reduction
 //
@@ -61,7 +62,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"weakorder/internal/digest"
 	"weakorder/internal/mem"
 )
 
@@ -210,9 +210,9 @@ func (f Footprint) Conflicts(g Footprint, visibleSyncOrder bool) bool {
 	return f.Writes&(g.Reads|g.Writes) != 0 || g.Writes&f.Reads != 0
 }
 
-// TransitionSystem is a nondeterministic system under exploration. All
-// methods are called from a single goroutine; Clone must return a deep,
-// independent copy.
+// TransitionSystem is a nondeterministic system under exploration. Each
+// instance is used by one goroutine at a time, but clones may move between
+// the kernel's workers, so Clone must return a deep, independent copy.
 type TransitionSystem interface {
 	// Name identifies the system in error messages.
 	Name() string
@@ -293,15 +293,16 @@ type Explorer struct {
 	// blocked replay (recorded read value unreachable) is an expected dead
 	// end, not a modeling bug.
 	AllowStuck bool
-	// Workers selects the exploration width. 0 or 1 runs the classic serial
-	// kernel. n > 1 runs exactly n workers sharing a work-stealing frontier
-	// and a striped visited store (the extra n-1 slots are registered with
-	// the process-wide par budget so nested sweeps shrink accordingly). A
-	// negative value auto-sizes: the run claims as many spare slots as the
-	// par budget has free, possibly none (serial). Every width yields the
-	// same terminal-state set — see DESIGN.md §"Parallel exploration" — but
-	// the order in which final() observes them, and Stats under reduction,
-	// may vary run to run for widths above 1.
+	// Workers selects the exploration width: how many workers share one
+	// work-stealing frontier and striped visited store. 0 or 1 runs one
+	// worker, which visits states in serial pre-order. n > 1 runs exactly n
+	// workers (the extra n-1 slots are registered with the process-wide par
+	// budget so nested sweeps shrink accordingly). A negative value
+	// auto-sizes: the run claims as many spare slots as the par budget has
+	// free, possibly none (one worker). Every width yields the same
+	// terminal-state set — see DESIGN.md §6 — but the order in which final()
+	// observes them, and Stats under reduction, may vary run to run for
+	// widths above 1.
 	Workers int
 }
 
@@ -320,80 +321,6 @@ func (s Stats) String() string {
 			s.States, s.Transitions, s.Finals, s.Truncated)
 	}
 	return fmt.Sprintf("%d states, %d transitions, %d final states", s.States, s.Transitions, s.Finals)
-}
-
-// visitedSet stores, per visited state, the mask of steps NOT expanded from
-// it (asleep or outside the persistent set) — either keyed by fixed-seed
-// 128-bit digest (default: constant memory per state) or by the full key
-// bytes (FullKeys debug mode).
-type visitedSet struct {
-	hashed map[digest.Sum]uint64
-	full   map[string]uint64
-}
-
-// visitedCapacity sizes the visited store from the state budget: an explicit
-// MaxStates is a size hint (capped so absurd budgets don't preallocate
-// gigabytes), while the DefaultMaxStates safety net is not — runs that never
-// said how big they are start small and grow.
-func visitedCapacity(maxStates int) int {
-	const floor, ceil = 1024, 1 << 21
-	switch {
-	case maxStates <= 0:
-		return floor
-	case maxStates < floor:
-		return maxStates
-	case maxStates > ceil:
-		return ceil
-	default:
-		return maxStates
-	}
-}
-
-func newVisitedSet(fullKeys bool, capacity int) *visitedSet {
-	v := &visitedSet{}
-	if fullKeys {
-		v.full = make(map[string]uint64, capacity)
-	} else {
-		v.hashed = make(map[digest.Sum]uint64, capacity)
-	}
-	return v
-}
-
-// get looks the key up, reporting the stored mask and presence.
-func (v *visitedSet) get(key []byte) (uint64, bool) {
-	if v.full != nil {
-		m, ok := v.full[string(key)]
-		return m, ok
-	}
-	m, ok := v.hashed[digest.Sum128(key)]
-	return m, ok
-}
-
-// put stores (or updates) the mask for the key.
-func (v *visitedSet) put(key []byte, mask uint64) {
-	if v.full != nil {
-		v.full[string(key)] = mask
-		return
-	}
-	v.hashed[digest.Sum128(key)] = mask
-}
-
-func (v *visitedSet) len() int {
-	if v.full != nil {
-		return len(v.full)
-	}
-	return len(v.hashed)
-}
-
-// frame is one node of the explicit DFS stack: a system state, its enabled
-// steps, and the reduction bookkeeping as bitmasks over the step indices.
-type frame struct {
-	sys   TransitionSystem
-	steps []Step
-	sleep uint64 // inherited sleepers: covered by an explored sibling subtree
-	todo  uint64 // steps still to expand from this visit
-	done  uint64 // steps already expanded in this visit
-	next  int    // scan position into steps
 }
 
 // maskAll returns a mask with the low n bits set (n <= 64).
@@ -503,172 +430,13 @@ func (r *reducer) persistentMask(sys TransitionSystem, steps []Step) uint64 {
 // (deduplicated by canonical key). final returning false stops early. Run
 // reports statistics via the returned Stats even on early stop or error.
 //
-// The search is an explicit-stack depth-first traversal preserving the
-// pre-order of the step lists, so state spaces bounded only by MaxStates
-// cannot overflow the goroutine stack. Run allocates its working state
-// locally, so one Explorer may be shared by concurrent explorations.
+// The search is a depth-first traversal over explicit per-worker stacks
+// (search, in parallel.go), so state spaces bounded only by MaxStates cannot
+// overflow the goroutine stack; at width 1 it visits states in the pre-order
+// of the step lists. Run allocates its working state locally, so one
+// Explorer may be shared by concurrent explorations.
 func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) (Stats, error) {
-	if w, release := x.resolveWorkers(); w > 1 {
-		st, err := x.runParallel(sys, final, w)
-		release()
-		return st, err
-	} else {
-		release()
-	}
-	budget := x.MaxStates
-	if budget <= 0 {
-		budget = DefaultMaxStates
-	}
-	st := Stats{}
-	visited := newVisitedSet(x.FullKeys, visitedCapacity(x.MaxStates))
-	finals := newVisitedSet(x.FullKeys, 16)
-	red := &reducer{syncOrder: x.VisibleSyncOrder}
-	stop := false
-	var key []byte // reused across all states of this exploration
-
-	// enter processes one state: path bound, step computation, reduction
-	// masks, dedup against the visited store, budget, terminal handling. It
-	// reports descend=true when the state has steps left to expand.
-	enter := func(s TransitionSystem, sleep []Step) (f frame, descend bool, err error) {
-		if s.Prune() {
-			st.Truncated++
-			return frame{}, false, nil
-		}
-		// Compute steps before keying: Steps() may normalize lazy state so
-		// that equivalent states reached along different paths key
-		// identically.
-		steps := s.Steps()
-		key = s.AppendKey(key[:0])
-		// skip collects the steps this visit will not expand: inherited
-		// sleepers plus everything outside the persistent set. States with
-		// more than 64 enabled steps fall back to full expansion — sound,
-		// merely unreduced — since the masks cannot describe them.
-		var sleepMask, skip uint64
-		if len(steps) <= 64 && !x.FullExploration {
-			for _, sl := range sleep {
-				// A sleeping step is necessarily still enabled here
-				// (independence preserves enabledness), so identity matching
-				// against the current list loses nothing.
-				for i := range steps {
-					if steps[i].same(sl) {
-						sleepMask |= uint64(1) << i
-						break
-					}
-				}
-			}
-			skip = sleepMask
-			if len(steps) > 1 {
-				skip |= maskAll(len(steps)) &^ red.persistentMask(s, steps)
-			}
-		}
-		old, seen := visited.get(key)
-		if !seen {
-			if visited.len() >= budget {
-				return frame{}, false, &StateBudgetError{System: s.Name(), States: visited.len()}
-			}
-			visited.put(key, skip)
-			st.States++
-			if len(steps) == 0 {
-				if !s.Done() {
-					if x.AllowStuck {
-						return frame{}, false, nil
-					}
-					return frame{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
-				}
-				if _, dup := finals.get(key); !dup {
-					finals.put(key, 0)
-					st.Finals++
-					if !final(s) {
-						stop = true
-					}
-				}
-				return frame{}, false, nil
-			}
-			return frame{sys: s, steps: steps, sleep: sleepMask, todo: maskAll(len(steps)) &^ skip}, true, nil
-		}
-		// Revisit: steps that were skipped when the state was last left but
-		// are expandable now were never explored from here and are not
-		// covered elsewhere — re-expand exactly those, and store the
-		// intersection. (The persistent set is a deterministic function of
-		// the state, so the difference can only come from a smaller sleep
-		// set; Steps order is canonical, so the positional masks align.)
-		todo := old &^ skip
-		if todo == 0 {
-			return frame{}, false, nil
-		}
-		visited.put(key, old&skip)
-		return frame{sys: s, steps: steps, sleep: sleepMask, todo: todo}, true, nil
-	}
-
-	root, descend, err := enter(sys.Clone(), nil)
-	if err != nil {
-		return st, err
-	}
-	stack := make([]frame, 0, 64)
-	if descend {
-		stack = append(stack, root)
-	}
-	for len(stack) > 0 && !stop {
-		top := &stack[len(stack)-1]
-		i := top.next
-		// The todo mask only describes the first 64 steps; indices past 63
-		// exist only on the first visit of a >64-step state (whose mask is
-		// all-ones and whose revisits carry todo == 0) and are expanded
-		// unconditionally, never skipped by a zero bit of an exhausted shift.
-		for i < len(top.steps) && i < 64 && top.todo&(uint64(1)<<i) == 0 {
-			i++
-		}
-		if i >= len(top.steps) {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		top.next = i + 1
-		t := top.steps[i]
-		// The child's sleep set: every step already covered at this state —
-		// inherited sleepers plus siblings expanded before t — that commutes
-		// with t. Dependent steps wake up (their interleavings past t are
-		// genuinely new); commuting ones stay asleep below t. Steps outside
-		// the persistent set are NOT passed down: their coverage argument is
-		// the persistence of the chosen subset, not an explored sibling
-		// subtree.
-		var childSleep []Step
-		if !x.FullExploration {
-			if m := top.sleep | top.done; m != 0 {
-				for j := range top.steps {
-					if m&(uint64(1)<<j) != 0 && Independent(top.steps[j], t, x.VisibleSyncOrder) {
-						childSleep = append(childSleep, top.steps[j])
-					}
-				}
-			}
-		}
-		top.done |= uint64(1) << i
-		last := top.todo&^maskAll(i+1) == 0
-		if len(top.steps) > 64 {
-			last = i == len(top.steps)-1
-		}
-		var c TransitionSystem
-		if last {
-			// Last child: this frame is exhausted and will never be touched
-			// again, so the child consumes the parent system in place — one
-			// whole clone saved per expanded state (states with a single
-			// successor, the common case on long deterministic runs, clone
-			// nothing at all).
-			c = top.sys
-			stack = stack[:len(stack)-1]
-		} else {
-			c = top.sys.Clone()
-		}
-		if err := c.Apply(t); err != nil {
-			return st, fmt.Errorf("explore: applying %s on %s: %w", t, c.Name(), err)
-		}
-		st.Transitions++
-		child, descend, err := enter(c, childSleep)
-		if err != nil {
-			return st, err
-		}
-		if descend {
-			stack = append(stack, child)
-		}
-	}
-	return st, nil
+	w, release := x.resolveWorkers()
+	defer release()
+	return x.search(sys, final, w)
 }

@@ -1,15 +1,15 @@
-// Parallel exploration: Explorer.Workers > 1 shards one Run across a pool of
-// workers. The frontier is split over per-worker work-stealing deques (LIFO
-// for the owner, FIFO for thieves, so stolen items are the shallowest — and
-// therefore largest — pending subtrees), and the visited store becomes a
-// striped concurrent map whose per-shard mutex linearizes all skip-mask
-// transitions of any one state. Masks only ever shrink (monotonic
-// intersection), and every bit removed is handed back to exactly one visit,
-// which expands it — so the parallel search performs the same set of
-// (state, mask) transitions as the serial kernel under an arbitrary frontier
+// The search: every Run, at any Explorer.Workers width, runs a pool of
+// workers (one at width 1). The frontier is split over per-worker
+// work-stealing deques (LIFO for the owner, FIFO for thieves, so stolen items
+// are the shallowest — and therefore largest — pending subtrees), and the
+// visited store is a striped concurrent map whose per-shard mutex linearizes
+// all skip-mask transitions of any one state. Masks only ever shrink
+// (monotonic intersection), and every bit removed is handed back to exactly
+// one visit, which expands it — so any width performs the same set of
+// (state, mask) transitions as a one-worker run under an arbitrary frontier
 // schedule, and reaches the same terminal-state set. Visit order, and with
 // reduction enabled the Stats, are the only things scheduling can change.
-// See DESIGN.md §"Parallel exploration" for the full soundness argument.
+// See DESIGN.md §6 for the full soundness argument.
 package explore
 
 import (
@@ -24,7 +24,7 @@ import (
 // resolveWorkers maps the Workers knob to a concrete width, plus the release
 // for any slots claimed from the process-wide par budget. Explicit widths pin
 // (and register) exactly what was asked; negative widths take whatever the
-// budget has spare, degrading gracefully to serial under saturation.
+// budget has spare, degrading gracefully to one worker under saturation.
 func (x *Explorer) resolveWorkers() (int, func()) {
 	switch {
 	case x.Workers > 1:
@@ -63,7 +63,7 @@ func (d *wsDeque) push(it workItem) {
 }
 
 // pop takes the newest item (owner side, LIFO): depth-first order, so the
-// owner's working set stays hot and bounded like the serial stack.
+// owner's working set stays hot and bounded like a DFS stack.
 func (d *wsDeque) pop() (workItem, bool) {
 	d.mu.Lock()
 	if len(d.items) == d.head {
@@ -104,7 +104,9 @@ func (d *wsDeque) steal() (workItem, bool) {
 
 // visitedShards is the stripe count of the concurrent visited store. 64
 // shards keep contention negligible at any realistic worker count while the
-// per-shard maps stay dense enough to be cache-friendly.
+// per-shard maps stay dense enough to be cache-friendly. Shards start empty
+// and grow on demand: MaxStates is a limit, not a size hint, so a small
+// exploration under a large budget allocates only what it visits.
 const visitedShards = 64
 
 type visitedShard struct {
@@ -124,14 +126,13 @@ type stripedVisited struct {
 	shards [visitedShards]visitedShard
 }
 
-func newStripedVisited(fullKeys bool, capacity, budget int) *stripedVisited {
+func newStripedVisited(fullKeys bool, budget int) *stripedVisited {
 	v := &stripedVisited{budget: int64(budget)}
-	per := capacity/visitedShards + 1
 	for i := range v.shards {
 		if fullKeys {
-			v.shards[i].full = make(map[string]uint64, per)
+			v.shards[i].full = make(map[string]uint64)
 		} else {
-			v.shards[i].hashed = make(map[digest.Sum]uint64, per)
+			v.shards[i].hashed = make(map[digest.Sum]uint64)
 		}
 	}
 	return v
@@ -181,7 +182,7 @@ func (v *stripedVisited) visit(key []byte, all, skip uint64) (todo uint64, isNew
 	return todo, false, false
 }
 
-// prun is the shared state of one parallel Run.
+// prun is the shared state of one Run.
 type prun struct {
 	x       *Explorer
 	visited *stripedVisited
@@ -200,16 +201,18 @@ type prun struct {
 	idlers atomic.Int32
 }
 
-// workerState is the per-worker scratch: reducer arrays, the reused key
-// buffer, and the stats buffer merged after the pool drains.
+// workerState is the per-worker scratch: reducer arrays, the reused key and
+// sibling buffers, and the stats buffer merged after the pool drains.
 type workerState struct {
 	id    int
 	red   *reducer
 	key   []byte
+	pubs  []workItem
 	stats Stats
 }
 
-// pframe mirrors the serial frame for one expansion. wide marks the first
+// pframe is one state's expansion: the system, its enabled steps, the
+// inherited sleep mask and the steps to expand. wide marks the first
 // visit of a state with more than 64 enabled steps, whose indices past 63 the
 // masks cannot describe: they are expanded unconditionally, and revisits of
 // such states carry todo == 0 (nothing was ever skipped).
@@ -221,15 +224,17 @@ type pframe struct {
 	wide  bool
 }
 
-// runParallel is Run at width > 1.
-func (x *Explorer) runParallel(sys TransitionSystem, final func(TransitionSystem) bool, width int) (Stats, error) {
+// search is Run's body at the resolved width (1 included): it seeds worker
+// 0's deque with the root, runs the pool until the frontier drains or a stop
+// is flagged, and sums the per-worker Stats.
+func (x *Explorer) search(sys TransitionSystem, final func(TransitionSystem) bool, width int) (Stats, error) {
 	budget := x.MaxStates
 	if budget <= 0 {
 		budget = DefaultMaxStates
 	}
 	p := &prun{
 		x:       x,
-		visited: newStripedVisited(x.FullKeys, visitedCapacity(x.MaxStates), budget),
+		visited: newStripedVisited(x.FullKeys, budget),
 		deques:  make([]*wsDeque, width),
 		final:   final,
 	}
@@ -364,10 +369,10 @@ func (p *prun) fail(err error) {
 }
 
 // process explores the subtree rooted at it, descending inline into the
-// first pending child of every state (preserving the serial kernel's
-// depth-first memory behavior) and publishing the remaining siblings as work
-// items, newest pushed last so a lone worker pops them — and hence visits
-// states — in exactly the serial pre-order.
+// first pending child of every state (depth-first memory behavior) and
+// publishing the remaining siblings as work items, newest pushed last so a
+// lone worker pops them — and hence visits states — in exactly the pre-order
+// of the step lists.
 func (p *prun) process(ws *workerState, it workItem) error {
 	s, sleep := it.sys, it.sleep
 	for {
@@ -381,7 +386,8 @@ func (p *prun) process(ws *workerState, it workItem) error {
 		// Expand the frame in one pass: the first pending step becomes the
 		// inline continuation; every later sibling is cloned from the parent
 		// (the inline child consumes the parent afterwards — k-1 clones for k
-		// children, the serial elision), applied, and queued for publication.
+		// children, and none at all for a state with one successor), applied,
+		// and queued for publication.
 		// Sibling i carries the earlier-expanded siblings that commute with
 		// it in its sleep set, exactly as if they had been expanded first —
 		// coverage is a property of the explored set at fixpoint, not of the
@@ -390,9 +396,9 @@ func (p *prun) process(ws *workerState, it workItem) error {
 			inline      Step
 			inlineSleep []Step
 			haveInline  bool
-			pubs        []workItem
 			done        uint64
 		)
+		pubs := ws.pubs[:0]
 		n := len(f.steps)
 		for i := 0; i < n; i++ {
 			if i < 64 {
@@ -430,6 +436,8 @@ func (p *prun) process(ws *workerState, it workItem) error {
 		for i := len(pubs) - 1; i >= 0; i-- {
 			p.publish(ws.id, pubs[i])
 		}
+		clear(pubs) // the deques own the published systems now
+		ws.pubs = pubs
 		if !haveInline {
 			// Defensive: enter never descends with an empty todo set, so an
 			// expansion always has an inline continuation.
@@ -443,20 +451,29 @@ func (p *prun) process(ws *workerState, it workItem) error {
 	}
 }
 
-// enter mirrors the serial kernel's per-state processing against the striped
-// store: path bound, step computation, reduction masks, atomic visited
-// transition, budget, terminal handling.
+// enter processes one state: path bound, step computation, reduction masks,
+// atomic visited transition, budget, terminal handling. It reports
+// descend=true when the state has steps left to expand.
 func (p *prun) enter(ws *workerState, s TransitionSystem, sleep []Step) (pframe, bool, error) {
 	x := p.x
 	if s.Prune() {
 		ws.stats.Truncated++
 		return pframe{}, false, nil
 	}
+	// Compute steps before keying: Steps() may normalize lazy state so that
+	// equivalent states reached along different paths key identically.
 	steps := s.Steps()
 	ws.key = s.AppendKey(ws.key[:0])
+	// skip collects the steps this visit will not expand: inherited sleepers
+	// plus everything outside the persistent set. States with more than 64
+	// enabled steps fall back to full expansion — sound, merely unreduced —
+	// since the masks cannot describe them.
 	var sleepMask, skip uint64
 	if len(steps) <= 64 && !x.FullExploration {
 		for _, sl := range sleep {
+			// A sleeping step is necessarily still enabled here (independence
+			// preserves enabledness), so identity matching against the
+			// current list loses nothing.
 			for i := range steps {
 				if steps[i].same(sl) {
 					sleepMask |= uint64(1) << i
@@ -475,42 +492,40 @@ func (p *prun) enter(ws *workerState, s TransitionSystem, sleep []Step) (pframe,
 		// it says at any width: precisely budget distinct states committed.
 		return pframe{}, false, &StateBudgetError{System: s.Name(), States: int(p.visited.budget)}
 	}
-	if !isNew {
-		if todo == 0 {
+	if isNew {
+		ws.stats.States++
+		if len(steps) == 0 {
+			if !s.Done() {
+				if x.AllowStuck {
+					return pframe{}, false, nil
+				}
+				return pframe{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
+			}
+			// First visit of a terminal state: the visited reservation
+			// above is the dedup, so this is the one delivery. The callback
+			// is serialized — callers' closures are not required to be
+			// thread-safe — and suppressed after stop, so an early stop is
+			// prompt at any width.
+			stopped := false
+			p.finalMu.Lock()
+			if !p.stop.Load() {
+				ws.stats.Finals++
+				if !p.final(s) {
+					stopped = true
+				}
+			}
+			p.finalMu.Unlock()
+			if stopped {
+				p.halt()
+			}
 			return pframe{}, false, nil
 		}
-		return pframe{sys: s, steps: steps, sleep: sleepMask, todo: todo}, true, nil
 	}
-	ws.stats.States++
-	if len(steps) == 0 {
-		if !s.Done() {
-			if x.AllowStuck {
-				return pframe{}, false, nil
-			}
-			return pframe{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
-		}
-		// First visit of a terminal state: the visited reservation above is
-		// the dedup, so this is the one delivery. The callback is serialized
-		// — callers' closures are not required to be thread-safe — and
-		// suppressed after stop, so an early stop is prompt at any width.
-		stopped := false
-		p.finalMu.Lock()
-		if !p.stop.Load() {
-			ws.stats.Finals++
-			if !p.final(s) {
-				stopped = true
-			}
-		}
-		p.finalMu.Unlock()
-		if stopped {
-			p.halt()
-		}
-		return pframe{}, false, nil
-	}
-	if todo == 0 && len(steps) <= 64 {
-		// Every enabled step is asleep or outside the persistent set: a
-		// legitimate leaf of the reduced search (the serial kernel pushes
-		// and immediately pops such frames).
+	if todo == 0 {
+		// A revisit with nothing newly expandable, or a first visit whose
+		// every enabled step is asleep or outside the persistent set: a
+		// legitimate leaf of the reduced search. (A wide state's first visit
+		// skips nothing, so its todo is never empty.)
 		return pframe{}, false, nil
 	}
 	return pframe{sys: s, steps: steps, sleep: sleepMask, todo: todo, wide: len(steps) > 64}, true, nil

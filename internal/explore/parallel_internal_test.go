@@ -1,13 +1,14 @@
 package explore
 
-// White-box tests for the parallel kernel's building blocks — the
-// work-stealing deque and the striped visited store — plus regression
-// coverage for the wide-state (>64 enabled steps) expansion path and the
-// visited-store pre-sizing benchmark.
+// White-box tests for the kernel's building blocks — the work-stealing deque
+// and the striped visited store — plus regression coverage for the
+// wide-state (>64 enabled steps) expansion path, the visited store's
+// grow-on-demand allocation, and the visited-store growth benchmark.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"weakorder/internal/mem"
@@ -63,7 +64,7 @@ func TestWSDequeOrder(t *testing.T) {
 func TestStripedVisitedMonotonic(t *testing.T) {
 	for _, fullKeys := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fullKeys=%v", fullKeys), func(t *testing.T) {
-			v := newStripedVisited(fullKeys, 0, 100)
+			v := newStripedVisited(fullKeys, 100)
 			key := []byte("state-a")
 			all := maskAll(4)
 			todo, isNew, over := v.visit(key, all, 0b1100)
@@ -91,7 +92,7 @@ func TestStripedVisitedMonotonic(t *testing.T) {
 
 			// Budget: reservations, not map sizes, are what the budget counts,
 			// so exactly budget distinct states commit at any race outcome.
-			v2 := newStripedVisited(fullKeys, 0, 2)
+			v2 := newStripedVisited(fullKeys, 2)
 			for i := 0; i < 2; i++ {
 				if _, _, over := v2.visit([]byte{byte(i)}, 1, 0); over {
 					t.Fatalf("state %d tripped a budget of 2", i)
@@ -110,7 +111,7 @@ func TestStripedVisitedMonotonic(t *testing.T) {
 // fanSystem is a two-level tree: the root offers width one-shot opaque steps,
 // each leading to a distinct terminal state. With width > 64 it regression-
 // tests the wide-state path: every step past index 63 must still be expanded
-// (the packed masks cannot describe it), serial and parallel alike.
+// (the packed masks cannot describe it), at one worker and at several.
 type fanSystem struct {
 	width  int
 	picked int // -1 at the root
@@ -227,10 +228,41 @@ func (c *countSystem) Footprints(buf []AgentFootprints) []AgentFootprints {
 	return buf
 }
 
-// BenchmarkExplorerVisited pins the visited store's allocation behavior: a
-// 4096-state full exploration with MaxStates set, so the store is pre-sized
-// from the budget and allocs/op stays flat instead of growing with rehash
-// storms. Compare against BENCH_explore.json when touching the store.
+// TestVisitedStoreGrowsOnDemand pins that MaxStates is a limit, not a size
+// hint: a 16-state exploration allocates the same small amount whether the
+// budget is the default, fuzz.DefaultExplorer's 400k, or a client-chosen
+// 1<<30 (a wocampd max_states). A store sized from the budget allocates
+// megabytes per Run here.
+func TestVisitedStoreGrowsOnDemand(t *testing.T) {
+	const runs, maxBytes = 4, 1 << 20
+	for _, budget := range []int{0, 400_000, 1 << 30} {
+		for _, workers := range []int{1, 2} {
+			x := &Explorer{MaxStates: budget, Workers: workers}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				st, err := x.Run(&countSystem{limit: 3, vals: make([]int, 2)}, func(TransitionSystem) bool { return true })
+				if err != nil {
+					t.Fatalf("MaxStates=%d workers=%d: %v", budget, workers, err)
+				}
+				if st.Finals != 1 {
+					t.Fatalf("MaxStates=%d workers=%d: %d final states, want 1", budget, workers, st.Finals)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > maxBytes {
+				t.Errorf("MaxStates=%d workers=%d: %d bytes allocated per Run, want at most %d",
+					budget, workers, per, maxBytes)
+			}
+		}
+	}
+}
+
+// BenchmarkExplorerVisited measures the visited store's allocation behavior
+// on a 4096-state full exploration. The store is not pre-sized from
+// MaxStates, so allocs/op and B/op include the shard maps' growth from empty
+// to 4096 entries. Compare against BENCH_explore.json when touching the
+// store.
 func BenchmarkExplorerVisited(b *testing.B) {
 	const limit, agents = 7, 4 // (limit+1)^agents = 4096 states
 	want := 1

@@ -1,10 +1,10 @@
 package explore_test
 
-// Differential tests pinning the parallel kernel's contract: the worker
-// width never changes what is observable. The determinism matrix sweeps the
+// Differential tests pinning the kernel's width contract: the worker width
+// never changes what is observable. The determinism matrix sweeps the
 // litmus corpus across widths, reduction on/off, and both key modes; the
-// equivalence sweep does serial-vs-parallel over the random corpus; and the
-// budget test pins the state count the budget error now carries.
+// equivalence sweep compares width 1 with width 2 over the random corpus; and
+// the budget test pins the state count the budget error carries.
 
 import (
 	"errors"
@@ -20,8 +20,8 @@ import (
 )
 
 // widthMatrix returns the deduplicated worker widths the determinism tests
-// sweep: serial, two workers (the smallest width where races exist), and one
-// per core.
+// sweep: one worker, two workers (the smallest width where races exist), and
+// one per core.
 func widthMatrix() []int {
 	widths := []int{1, 2}
 	if n := runtime.GOMAXPROCS(0); n > 2 {
@@ -105,12 +105,13 @@ func TestExploreWorkerWidthDeterminism(t *testing.T) {
 }
 
 // parallelFinalSets explores the program on one machine at KeyState
-// granularity serially and at the given width (both with reduction on, the
+// granularity at width 1 and at the given width (both with reduction on, the
 // production configuration) and returns the canonical final-state sets. The
-// skip decision reuses finalSets' protocol: a serial FULL exploration runs
-// first, so skipping is deterministic, and any exploration that visits a
-// subset of the reachable states — reduced, any width — fits the same budget.
-func parallelFinalSets(f litmus.Factory, p *program.Program, workers int) (serial, parallel string, skipped bool, err error) {
+// skip decision reuses finalSets' protocol: a one-worker FULL exploration
+// runs first, so skipping is deterministic, and any exploration that visits
+// a subset of the reachable states — reduced, any width — fits the same
+// budget.
+func parallelFinalSets(f litmus.Factory, p *program.Program, workers int) (single, parallel string, skipped bool, err error) {
 	collect := func(w int) (string, error) {
 		x := &model.Explorer{MaxStates: diffMaxStates, Workers: w}
 		var keys []string
@@ -128,17 +129,17 @@ func parallelFinalSets(f litmus.Factory, p *program.Program, workers int) (seria
 	if err != nil {
 		return "", "", false, err
 	}
-	if serial, err = collect(1); err != nil {
+	if single, err = collect(1); err != nil {
 		return "", "", false, err
 	}
 	parallel, err = collect(workers)
-	return serial, parallel, false, err
+	return single, parallel, false, err
 }
 
-// TestParallelEquivalence is the parallel-vs-serial differential gate: on the
-// random corpus (a subset under -short, which is how the CI POR gate runs
-// it), every machine's final-state set at width 2 must be byte-identical to
-// the serial kernel's.
+// TestParallelEquivalence is the width-1-vs-width-2 differential gate: on
+// the random corpus (a subset under -short, which is how the CI POR gate
+// runs it), every machine's final-state set at width 2 must be
+// byte-identical to the one-worker run's.
 func TestParallelEquivalence(t *testing.T) {
 	factories := allFactories()
 	corpus := randomCorpus(256)
@@ -148,7 +149,7 @@ func TestParallelEquivalence(t *testing.T) {
 	skipped := sweep(t, corpus, func(p *program.Program) (int, error) {
 		n := 0
 		for _, f := range factories {
-			serial, parallel, skip, err := parallelFinalSets(f, p, 2)
+			single, parallel, skip, err := parallelFinalSets(f, p, 2)
 			if err != nil {
 				return n, fmt.Errorf("%s on %s: %w", p.Name, f.Name, err)
 			}
@@ -156,9 +157,9 @@ func TestParallelEquivalence(t *testing.T) {
 				n++
 				continue
 			}
-			if serial != parallel {
-				return n, fmt.Errorf("%s on %s: parallel exploration changed the final-state set\n--- serial ---\n%s\n--- parallel ---\n%s",
-					p.Name, f.Name, serial, parallel)
+			if single != parallel {
+				return n, fmt.Errorf("%s on %s: width 2 changed the final-state set\n--- width 1 ---\n%s\n--- width 2 ---\n%s",
+					p.Name, f.Name, single, parallel)
 			}
 		}
 		return n, nil

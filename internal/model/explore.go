@@ -42,7 +42,7 @@ type Explorer struct {
 	// identical Stats.
 	FullKeys bool
 	// Workers selects the exploration width, passed through to the kernel:
-	// 0 or 1 serial, n > 1 that many workers sharing one search, negative
+	// 0 or 1 one worker, n > 1 that many workers sharing one search, negative
 	// auto-sized from the par budget. Any width produces the same outcome
 	// set; visit order and reduced-mode Stats may vary above width 1. See
 	// explore.Explorer.Workers.
