@@ -22,7 +22,9 @@
 // the shared worker pool and checkpoint after every block, so killing the
 // server loses nothing: on restart every incomplete campaign in -dir is
 // resumed automatically. SIGINT/SIGTERM shut down gracefully — in-flight
-// campaigns write a final checkpoint before the process exits.
+// campaigns write a final checkpoint before the process exits. Request
+// bodies over 1 MiB are answered with 413, and a client that does not finish
+// its request headers within readHeaderTimeout is disconnected.
 package main
 
 import (
@@ -39,6 +41,12 @@ import (
 
 	"weakorder/internal/campaign"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections
+// open. It does not bound request bodies or responses: the NDJSON events
+// stream stays open for a campaign's whole run.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", "localhost:8423", "listen address")
@@ -82,7 +90,7 @@ func main() {
 	}
 	fmt.Printf("wocampd: serving on http://%s (data in %s)\n", ln.Addr(), *dir)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

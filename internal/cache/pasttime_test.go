@@ -52,31 +52,26 @@ func TestSchedulePastSurfacesThroughCacheCallbacks(t *testing.T) {
 }
 
 // TestRetryPathNeverSchedulesPast exercises the MSHR retransmission caller:
-// a deep retry schedule against a directory that drops every request, on
-// both engines. The run must end in the retry machinery's own typed error —
-// with ErrSchedulePast never recorded along the way. If the backoff clamp
+// a deep retry schedule against a directory that drops every request. The
+// run must end in the retry machinery's own typed error — with
+// ErrSchedulePast never recorded along the way. If the backoff clamp
 // regressed (the historical overflow made `timeout << attempts` negative),
 // this run would fail with ErrSchedulePast instead, and the assertion names
 // the guilty caller.
 func TestRetryPathNeverSchedulesPast(t *testing.T) {
-	for name, mk := range map[string]func() *sim.Engine{
-		"calendar": func() *sim.Engine { return sim.NewEngine(0, 0) },
-		"heap":     func() *sim.Engine { return sim.NewHeapEngine(0, 0) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			engine := mk()
-			net := interconnect.NewNetwork(engine, 1, 0, nil, true)
-			net.Attach(1, blackhole{})
-			c := New(0, engine, net, 1, 1)
-			c.SetRetry(128, 80) // deep enough to cross the old overflow threshold
-			c.AcquireShared(2, false, func(v mem.Value) {})
-			err := engine.Run(nil)
-			if errors.Is(err, sim.ErrSchedulePast) {
-				t.Fatalf("MSHR retransmission scheduled into the past: %v", err)
-			}
-			if !errors.Is(err, ErrRetryExhausted) {
-				t.Fatalf("Run = %v, want ErrRetryExhausted", err)
-			}
-		})
-	}
+	t.Run("calendar", func(t *testing.T) {
+		engine := sim.NewEngine(0, 0)
+		net := interconnect.NewNetwork(engine, 1, 0, nil, true)
+		net.Attach(1, blackhole{})
+		c := New(0, engine, net, 1, 1)
+		c.SetRetry(128, 80) // deep enough to cross the old overflow threshold
+		c.AcquireShared(2, false, func(v mem.Value) {})
+		err := engine.Run(nil)
+		if errors.Is(err, sim.ErrSchedulePast) {
+			t.Fatalf("MSHR retransmission scheduled into the past: %v", err)
+		}
+		if !errors.Is(err, ErrRetryExhausted) {
+			t.Fatalf("Run = %v, want ErrRetryExhausted", err)
+		}
+	})
 }

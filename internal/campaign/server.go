@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -281,8 +280,7 @@ type CheckResponse struct {
 
 func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 	var cr CheckRequest
-	if err := decodeJSON(req.Body, &cr); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, req, &cr) {
 		return
 	}
 	if strings.TrimSpace(cr.Litmus) == "" {
@@ -334,8 +332,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec Spec
-	if err := decodeJSON(req.Body, &spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, req, &spec) {
 		return
 	}
 	if err := spec.Validate(); err != nil {
@@ -432,14 +429,27 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.Stats())
 }
 
-// decodeJSON strictly decodes one JSON value from r.
-func decodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+// maxRequestBody bounds every JSON request body. A litmus program or a
+// campaign spec is a few kilobytes; a client that sends more than this gets
+// 413 without the server buffering the rest.
+const maxRequestBody = 1 << 20
+
+// decodeJSON strictly decodes one JSON value from the request body, reading
+// at most maxRequestBody bytes. On failure it writes the error response (413
+// for an oversized body, 400 for anything else) and returns false.
+func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("decoding request: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,13 +125,17 @@ func TestCheckEndpointCacheHit(t *testing.T) {
 // TestCheckEndpointRejectsBadInput pins the request validation surface.
 func TestCheckEndpointRejectsBadInput(t *testing.T) {
 	_, hs := newTestService(t)
-	for name, req := range map[string]CheckRequest{
-		"empty program":   {Litmus: ""},
-		"unparseable":     {Litmus: "this is not a litmus program"},
-		"unknown machine": {Litmus: func() string { _, p := ProgramFor(1, 0); return fuzz.EmitLitmus(p) }(), Machines: "no-such-machine"},
+	for name, c := range map[string]struct {
+		req  CheckRequest
+		code int
+	}{
+		"empty program":   {CheckRequest{Litmus: ""}, http.StatusBadRequest},
+		"unparseable":     {CheckRequest{Litmus: "this is not a litmus program"}, http.StatusBadRequest},
+		"unknown machine": {CheckRequest{Litmus: func() string { _, p := ProgramFor(1, 0); return fuzz.EmitLitmus(p) }(), Machines: "no-such-machine"}, http.StatusBadRequest},
+		"oversized body":  {CheckRequest{Litmus: strings.Repeat("x", maxRequestBody)}, http.StatusRequestEntityTooLarge},
 	} {
-		if code := postJSON(t, hs.URL+"/v1/check", req, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want %d", name, code, http.StatusBadRequest)
+		if code := postJSON(t, hs.URL+"/v1/check", c.req, nil); code != c.code {
+			t.Errorf("%s: status %d, want %d", name, code, c.code)
 		}
 	}
 }

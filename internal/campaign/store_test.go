@@ -2,9 +2,11 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"weakorder/internal/digest"
@@ -59,6 +61,81 @@ func TestStoreRoundtrip(t *testing.T) {
 	st := s2.Stats()
 	if st.Hits != 2 || st.Misses != 0 {
 		t.Fatalf("stats = %+v, want 2 hits 0 misses", st)
+	}
+}
+
+// TestStoreConcurrentAppend pins the Store under concurrent use: writers on
+// separate goroutines interleave Get and Put on distinct keys, and every
+// record must survive a close and reopen byte-identical, with no frame torn
+// by an interleaved append and every counter exact.
+func TestStoreConcurrentAppend(t *testing.T) {
+	const writers, perWriter = 8, 32
+	key := func(w, i int) digest.Sum {
+		var k digest.Sum
+		k[0], k[1], k[2] = byte(w), byte(i), 0xa5
+		return k
+	}
+	value := func(w, i int) []byte {
+		// Lengths vary so frames straddle different offsets.
+		return []byte(fmt.Sprintf(`{"w":%d,"i":%d,"pad":%q}`, w, i, strings.Repeat("z", (w*perWriter+i)%97)))
+	}
+	path := filepath.Join(t.TempDir(), "cache.wocs")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, ok := s.Get(key(w, i)); ok {
+					errs <- fmt.Errorf("writer %d: key %d present before its Put", w, i)
+					return
+				}
+				if err := s.Put(key(w, i), value(w, i)); err != nil {
+					errs <- err
+					return
+				}
+				if v, ok := s.Get(key(w, i)); !ok || !bytes.Equal(v, value(w, i)) {
+					errs <- fmt.Errorf("writer %d: key %d = %q, %v after Put", w, i, v, ok)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	const n = writers * perWriter
+	if st := s.Stats(); st != (StoreStats{Entries: n, Hits: n, Misses: n, Puts: n}) {
+		t.Fatalf("stats = %+v, want %d entries, hits, misses and puts", st, n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Discarded != 0 || s2.Recovered != n {
+		t.Fatalf("reopen recovered %d frames, discarded %d bytes; want %d and 0", s2.Recovered, s2.Discarded, n)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			if v, ok := s2.Get(key(w, i)); !ok || !bytes.Equal(v, value(w, i)) {
+				t.Fatalf("writer %d key %d = %q, %v after reopen; want %q", w, i, v, ok, value(w, i))
+			}
+		}
+	}
+	if st := s2.Stats(); st != (StoreStats{Entries: n, Hits: n}) {
+		t.Fatalf("reopened stats = %+v, want %d entries and hits", st, n)
 	}
 }
 

@@ -137,10 +137,6 @@ type Config struct {
 	// ClusterSize is processors per cluster for the clusters topology
 	// (default 8).
 	ClusterSize int
-	// HeapEngine runs the simulation on the legacy binary-heap scheduler
-	// instead of the calendar queue. Event order is identical; this exists
-	// as the throughput-comparison baseline.
-	HeapEngine bool
 	// Workload attaches an open-loop fragment source to every processor
 	// (internal/workload/openloop builds them from a spec or a recorded
 	// trace). The program passed to New is then a skeleton: it sizes the
@@ -305,9 +301,6 @@ type Machine struct {
 func New(p *program.Program, cfg Config) *Machine {
 	cfg.defaults()
 	engine := sim.NewEngine(cfg.MaxTime, cfg.MaxEvents)
-	if cfg.HeapEngine {
-		engine = sim.NewHeapEngine(cfg.MaxTime, cfg.MaxEvents)
-	}
 	n := p.NumThreads()
 	var fabric interconnect.Fabric
 	switch cfg.Fabric {

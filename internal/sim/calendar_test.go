@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// recSink records deliveries so tests can compare dispatch order across
-// engines.
+// recSink records deliveries so tests can check their dispatch order.
 type recSink struct {
 	log *[]int64
 }
@@ -15,33 +14,55 @@ func (r recSink) DeliverEvent(src int, msg any) {
 	*r.log = append(*r.log, int64(src)*1000000+msg.(int64))
 }
 
-// TestCalendarMatchesHeap drives both schedulers through the same
-// pseudo-random event storm — self-rescheduling callbacks, bursts at shared
-// timestamps, horizon-crossing delays — and requires the dispatch logs
-// (event id + dispatch time) to be identical. This is the determinism
-// contract the calendar queue must preserve byte for byte.
-func TestCalendarMatchesHeap(t *testing.T) {
-	type entry struct {
-		id int
-		at Time
-	}
-	run := func(mk func(Time, uint64) *Engine) []entry {
-		e := mk(0, 0)
-		var log []entry
-		// Deterministic LCG so both engines see the same schedule.
-		state := uint64(12345)
+// dispatch is one oracle log entry: the ordinal of the At/DeliverAt call that
+// scheduled the event, and the time the event ran.
+type dispatch struct {
+	ord int
+	at  Time
+}
+
+// oracleSink logs a delivery whose src carries its schedule ordinal.
+type oracleSink struct {
+	e   *Engine
+	log *[]dispatch
+}
+
+func (s oracleSink) DeliverEvent(src int, msg any) {
+	*s.log = append(*s.log, dispatch{ord: src, at: s.e.Now()})
+}
+
+// TestDispatchOrderOracle checks the engine against its specification:
+// every scheduled event is dispatched exactly once, at its scheduled time,
+// and the dispatch log is strictly ascending in (time, schedule ordinal).
+// Sorted order plus exactly-once dispatch means the engine always ran the
+// minimum pending (time, ordinal) pair. The storm mixes self-rescheduling
+// callbacks, value-typed deliveries, same-cycle bursts and delays that
+// straddle the wheel horizon, and is large enough that overflow and wheel
+// events collide in the same cycle, so a wrong tie-break or horizon test
+// reorders the log.
+func TestDispatchOrderOracle(t *testing.T) {
+	for _, seed := range []uint64{12345, 1, 2} {
+		e := NewEngine(0, 0)
+		var sched []Time // sched[ord] is the time event ord was scheduled for
+		var log []dispatch
+		sink := oracleSink{e: e, log: &log}
+		// Deterministic LCG so the storm is reproducible.
+		state := seed
 		next := func(n uint64) uint64 {
 			state = state*6364136223846793005 + 1442695040888963407
 			return (state >> 33) % n
 		}
-		id := 0
-		var spawn func(depth int) func()
-		spawn = func(depth int) func() {
-			myID := id
-			id++
-			return func() {
-				log = append(log, entry{myID, e.Now()})
-				if depth >= 6 {
+		var schedule func(at Time, depth int)
+		schedule = func(at Time, depth int) {
+			ord := len(sched)
+			sched = append(sched, at)
+			if depth > 0 && next(4) == 0 {
+				e.DeliverAt(at, sink, ord, nil)
+				return
+			}
+			e.At(at, func() {
+				log = append(log, dispatch{ord: ord, at: e.Now()})
+				if depth >= 9 {
 					return
 				}
 				k := int(next(3)) // 0..2 children
@@ -57,29 +78,37 @@ func TestCalendarMatchesHeap(t *testing.T) {
 					default:
 						d = wheelSize - 2 + Time(next(6)) // straddles the horizon
 					}
-					e.At(e.Now()+d, spawn(depth+1))
+					schedule(e.Now()+d, depth+1)
 				}
-			}
+			})
 		}
-		for i := 0; i < 20; i++ {
-			e.At(Time(next(uint64(2*wheelSize))), spawn(0))
+		for i := 0; i < 400; i++ {
+			schedule(Time(next(uint64(2*wheelSize))), 0)
 		}
 		if err := e.Run(nil); err != nil {
 			t.Fatal(err)
 		}
 		if e.Pending() != 0 {
-			t.Fatalf("pending = %d after drain", e.Pending())
+			t.Fatalf("seed %d: pending = %d after drain", seed, e.Pending())
 		}
-		return log
-	}
-	heapLog := run(NewHeapEngine)
-	calLog := run(NewEngine)
-	if len(heapLog) != len(calLog) {
-		t.Fatalf("dispatched %d events on heap, %d on calendar", len(heapLog), len(calLog))
-	}
-	for i := range heapLog {
-		if heapLog[i] != calLog[i] {
-			t.Fatalf("dispatch %d: heap %+v, calendar %+v", i, heapLog[i], calLog[i])
+		if len(log) != len(sched) {
+			t.Fatalf("seed %d: dispatched %d events, scheduled %d", seed, len(log), len(sched))
+		}
+		seen := make([]bool, len(sched))
+		for i, d := range log {
+			if seen[d.ord] {
+				t.Fatalf("seed %d: event %d dispatched twice", seed, d.ord)
+			}
+			seen[d.ord] = true
+			if d.at != sched[d.ord] {
+				t.Fatalf("seed %d: event %d ran at %d, scheduled for %d", seed, d.ord, d.at, sched[d.ord])
+			}
+			if i > 0 {
+				p := log[i-1]
+				if p.at > d.at || (p.at == d.at && p.ord >= d.ord) {
+					t.Fatalf("seed %d: dispatch %d: %+v after %+v, want ascending (at, ord)", seed, i, d, p)
+				}
+			}
 		}
 	}
 }
@@ -110,7 +139,7 @@ func TestCalendarOverflowMerge(t *testing.T) {
 }
 
 // TestDeliverAtOrdersWithAt checks value-typed deliveries interleave with
-// closure events in strict schedule order on both engines.
+// closure events in strict schedule order.
 func TestDeliverAtOrdersWithAt(t *testing.T) {
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {

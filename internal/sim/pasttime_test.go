@@ -11,9 +11,9 @@ type pastSink struct{ got int }
 func (s *pastSink) DeliverEvent(src int, msg any) { s.got++ }
 
 // TestSchedulePastTypedError pins the ErrSchedulePast contract on both
-// engines and both scheduling entry points: a past-time At/DeliverAt records
-// a ScheduleError, Run surfaces it as the typed error (errors.Is and
-// errors.As both work), and the offending event is dropped, not dispatched.
+// scheduling entry points: a past-time At/DeliverAt records a ScheduleError,
+// Run surfaces it as the typed error (errors.Is and errors.As both work), and
+// the offending event is dropped, not dispatched.
 func TestSchedulePastTypedError(t *testing.T) {
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {

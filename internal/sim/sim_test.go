@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// engines runs a subtest against both schedulers; the heap engine is the
-// reference the calendar engine must match event for event.
+// engines names the scheduler each table-driven test runs under as a
+// subtest. The calendar queue is the only scheduler; its dispatch order is
+// checked against the (time, schedule order) rule by TestDispatchOrderOracle.
 var engines = map[string]func(Time, uint64) *Engine{
 	"calendar": NewEngine,
-	"heap":     NewHeapEngine,
 }
 
 func TestEngineOrdering(t *testing.T) {
